@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet fmt lint build test race fuzz bench bench10k bench100k benchstat chaos cover timing-smoke health-smoke
+.PHONY: check vet fmt lint build test race fuzz bench bench10k bench100k benchstat chaos cover timing-smoke health-smoke e2e-smoke
 
 check: lint build test race
 
@@ -81,8 +81,7 @@ bench:
 
 # The 10x scaling suite behind BENCH_PR5.json: the full 10000-node pipeline
 # (adversary generation, CSR trace recording, run) for Alg1 at the Theorem-1
-# budget and Alg2 to completion, plus the k-scaling and delta-delivery A/B
-# variants.
+# budget and Alg2 to completion, plus the k-scaling variants.
 bench10k:
 	$(GO) test -run '^$$' -bench 'BenchmarkHiNet10k' -benchmem -count 3 -timeout 2h .
 
@@ -136,3 +135,12 @@ health-smoke:
 		| grep "first violated invariant: rule stall"
 	@echo "stall anomaly dumped and diagnosed (hinetsim -> hinettrace postmortem)"
 	@rm -rf health-smoke.dumps
+
+# e2e-smoke builds, vets and smoke-tests the end-to-end benchmark. e2ebench/
+# is a Go module of its own, so `go build ./...` and `go test ./...` at the
+# root never compile it; this target catches an API change (sim.Options,
+# the adversary, the sinks) that would break the benchmark. The smoke test
+# runs every workload at a small size, including alg1-observed's
+# ctvg.RecordDeltas path.
+e2e-smoke:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...

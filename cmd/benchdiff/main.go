@@ -145,60 +145,76 @@ func main() {
 		os.Exit(2)
 	}
 
-	ceilings := make(map[string]metrics)
-	source := make(map[string]string)
-	for _, path := range flag.Args() {
+	ceilings, source, err := mergeCeilings(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		os.Exit(2)
+	}
+	if !compare(os.Stdout, got, ceilings, source, *tol, *memtol) {
+		fmt.Println("benchdiff: FAIL")
+		os.Exit(1)
+	}
+	fmt.Println("benchdiff: PASS")
+}
+
+// mergeCeilings loads the records in argument order, later files
+// overriding earlier ones per benchmark; source names the file each
+// ceiling came from.
+func mergeCeilings(paths []string) (ceilings map[string]metrics, source map[string]string, err error) {
+	ceilings = make(map[string]metrics)
+	source = make(map[string]string)
+	for _, path := range paths {
 		ceil, err := loadCeilings(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
+			return nil, nil, err
 		}
 		for name, m := range ceil {
 			ceilings[name] = m
 			source[name] = path
 		}
 	}
+	return ceilings, source, nil
+}
 
+// compare writes one verdict line per recorded benchmark to w and reports
+// whether every benchmark that ran stayed under its ceilings.
+func compare(w io.Writer, got, ceilings map[string]metrics, source map[string]string, tol, memtol float64) bool {
 	names := make([]string, 0, len(ceilings))
 	for name := range ceilings {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	failed := false
+	ok := true
 	for _, name := range names {
 		want := ceilings[name]
-		have, ok := got[name]
-		if !ok {
-			fmt.Printf("%-38s not run (skipped; record %s)\n", name, source[name])
+		have, ran := got[name]
+		if !ran {
+			fmt.Fprintf(w, "%-38s not run (skipped; record %s)\n", name, source[name])
 			continue
 		}
 		verdict := "ok"
 		switch {
-		case have.Ns > want.Ns*(1+*tol):
+		case have.Ns > want.Ns*(1+tol):
 			verdict = fmt.Sprintf("FAIL ns/op +%.0f%% over ceiling", 100*(have.Ns/want.Ns-1))
-		case want.Bytes > 0 && have.Bytes > want.Bytes*(1+*memtol):
+		case want.Bytes > 0 && have.Bytes > want.Bytes*(1+memtol):
 			verdict = fmt.Sprintf("FAIL B/op +%.0f%% over ceiling", 100*(have.Bytes/want.Bytes-1))
-		case want.Allocs > 0 && have.Allocs > want.Allocs*(1+*memtol):
+		case want.Allocs > 0 && have.Allocs > want.Allocs*(1+memtol):
 			verdict = fmt.Sprintf("FAIL allocs/op +%.0f%% over ceiling", 100*(have.Allocs/want.Allocs-1))
 		}
-		stageNote, stageFail := diffStages(want.Stages, have.Stages, *tol)
+		stageNote, stageFail := diffStages(want.Stages, have.Stages, tol)
 		if verdict == "ok" && stageFail != "" {
 			verdict = stageFail
 		}
 		if verdict != "ok" {
-			failed = true
+			ok = false
 		}
-		fmt.Printf("%-38s %12.0f ns/op (x%.2f of %s)  %s\n",
+		fmt.Fprintf(w, "%-38s %12.0f ns/op (x%.2f of %s)  %s\n",
 			name, have.Ns, have.Ns/want.Ns, source[name], verdict)
 		if stageNote != "" {
-			fmt.Printf("%-38s %s\n", "", stageNote)
+			fmt.Fprintf(w, "%-38s %s\n", "", stageNote)
 		}
 	}
-	if failed {
-		fmt.Println("benchdiff: FAIL")
-		os.Exit(1)
-	}
-	fmt.Println("benchdiff: PASS")
+	return ok
 }
 
 // diffStages compares per-stage ns/op against the recorded stage ceilings.

@@ -113,7 +113,6 @@ func main() {
 		tsample  = flag.Int("timing-sample", 0, "rounds between timing resource samples (0 = default 32)")
 		tnorm    = flag.Bool("timing-normalize", false, "zero durations/resources in the timing JSONL, keeping structure (determinism checks)")
 		workers  = flag.Int("workers", 0, "within-round parallelism (0 or 1 = serial)")
-		deltas   = flag.Bool("deltas", false, "record the scenario's dynamic as an O(changes) delta trace before running (hinet/onel; A/B storage check, results are identical)")
 
 		drop         = flag.Float64("drop", 0, "i.i.d. per-delivery message loss probability")
 		burst        = flag.String("burst", "", "Gilbert–Elliott bursty loss as pGoodBad,pBadGood,dropBad")
@@ -142,7 +141,11 @@ func main() {
 			stallSet = true
 		}
 	})
-	if err := validateFlags(*drop, *arrival, *stallWindow, stallSet); err != nil {
+	sz := sizes{
+		scenario: *scenario, n: *n, k: *k, theta: *theta, alpha: *alpha,
+		l: *l, reaffil: *reaffil, churn: *churn,
+	}
+	if err := validateFlags(sz, *drop, *arrival, *stallWindow, stallSet); err != nil {
 		fmt.Fprintln(os.Stderr, "hinetsim:", err)
 		os.Exit(1)
 	}
@@ -163,7 +166,7 @@ func main() {
 	mi := &instr{
 		path: *metrics, provDir: *prov, faults: plan, stall: *stallWindow,
 		timingPath: *timing, tsample: *tsample, tnorm: *tnorm, workers: *workers,
-		arr: arr, selfstab: *selfstab, deltas: *deltas,
+		arr: arr, selfstab: *selfstab,
 		record: *record, healthSpec: *healthSpc, dumpDir: *dumpDir,
 		scenario: *scenario, alpha: *alpha,
 		fing: map[string]string{
@@ -175,7 +178,6 @@ func main() {
 			"drop":    strconv.FormatFloat(*drop, 'g', -1, 64),
 			"burst":   *burst, "crash_heads": *crashHeads,
 			"selfstab": strconv.FormatBool(*selfstab),
-			"deltas":   strconv.FormatBool(*deltas),
 			"arrival":  strconv.FormatFloat(*arrival, 'g', -1, 64),
 		},
 	}
@@ -211,9 +213,9 @@ func main() {
 		case "fig3":
 			err = runFig3(mi)
 		case "hinet":
-			err = runHiNet(*n, *k, *theta, *alpha, *l, *reaffil, *churn, *seed, mi)
+			err = runHiNet(sz, *seed, mi)
 		case "onel":
-			err = runOneL(*n, *k, *theta, *l, *reaffil, *churn, *seed, mi)
+			err = runOneL(sz, *seed, mi)
 		case "mobility":
 			err = runMobility(*n, *k, *seed, mi)
 		case "emdg":
@@ -330,11 +332,6 @@ type instr struct {
 	// same faulty links, with the convergence watchdog armed at one phase
 	// length (8 rounds for per-round protocols).
 	selfstab bool
-	// deltas records the hinet/onel scenario dynamic into a ctvg.DeltaTrace
-	// before the run — the O(changes) storage path; results are identical
-	// to the live adversary (the -deltas/-nodeltas A/B pair keeps the
-	// snapshot oracle reachable from the CLI).
-	deltas bool
 	// arr is the -arrival traffic process; attach copies it into each
 	// scenario's options and stretches short round budgets to cover the
 	// arrival window plus a drain allowance.
@@ -685,46 +682,37 @@ func runFig3(mi *instr) error {
 	return nil
 }
 
-func runHiNet(n, k, theta, alpha, l, reaffil, churn int, seed uint64, mi *instr) error {
-	T := core.Theorem1T(k, alpha, l)
-	phases := core.Theorem1Phases(theta, alpha)
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
-		N: n, Theta: theta, L: l, T: T,
-		Reaffiliations: reaffil, ChurnEdges: churn,
-	}, xrand.New(seed))
+func runHiNet(sz sizes, seed uint64, mi *instr) error {
+	n, k, alpha, l := sz.n, sz.k, sz.alpha, sz.l
+	cfg, _ := sz.hinetConfig()
+	T := cfg.T
+	phases := core.Theorem1Phases(sz.theta, alpha)
+	adv := adversary.NewHiNet(cfg, xrand.New(seed))
 	if err := (hinet.Model{T: T, L: l}).CheckValid(adv, phases); err != nil {
 		return fmt.Errorf("generated network violates the model: %w", err)
 	}
 	assign := token.Spread(n, k, xrand.New(seed+1))
-	mi.budget = &provenance.Budget{PhaseLen: T, Phases: phases, Alpha: alpha, Theta: theta}
+	mi.budget = &provenance.Budget{PhaseLen: T, Phases: phases, Alpha: alpha, Theta: sz.theta}
 	opts, err := mi.attach(sim.Options{
 		MaxRounds: phases * T, StopWhenComplete: true,
 	}, n, k, T)
 	if err != nil {
 		return err
 	}
-	var d ctvg.Dynamic = adv
-	if mi.deltas {
-		d = ctvg.RecordDeltas(adversary.NewHiNet(adversary.HiNetConfig{
-			N: n, Theta: theta, L: l, T: T,
-			Reaffiliations: reaffil, ChurnEdges: churn,
-		}, xrand.New(seed)), phases*T)
-	}
-	met, err := sim.RunProtocol(d, mi.alg1(T), assign, opts)
+	met, err := sim.RunProtocol(adv, mi.alg1(T), assign, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Algorithm 1 on a (%d, %d)-HiNet (n=%d θ=%d k=%d α=%d)\n", T, l, n, theta, k, alpha)
+	fmt.Printf("Algorithm 1 on a (%d, %d)-HiNet (n=%d θ=%d k=%d α=%d)\n", T, l, n, sz.theta, k, alpha)
 	fmt.Printf("theorem budget: %d phases x %d rounds = %d rounds\n", phases, T, phases*T)
 	fmt.Println("result:", met)
 	return nil
 }
 
-func runOneL(n, k, theta, l, reaffil, churn int, seed uint64, mi *instr) error {
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
-		N: n, Theta: theta, L: l, T: 1,
-		Reaffiliations: reaffil, HeadChurn: 1, ChurnEdges: churn,
-	}, xrand.New(seed))
+func runOneL(sz sizes, seed uint64, mi *instr) error {
+	n, k := sz.n, sz.k
+	cfg, _ := sz.hinetConfig()
+	adv := adversary.NewHiNet(cfg, xrand.New(seed))
 	assign := token.Spread(n, k, xrand.New(seed+1))
 	opts, err := mi.attach(sim.Options{
 		MaxRounds: core.Theorem2Rounds(n), StopWhenComplete: true,
@@ -732,15 +720,11 @@ func runOneL(n, k, theta, l, reaffil, churn int, seed uint64, mi *instr) error {
 	if err != nil {
 		return err
 	}
-	var d ctvg.Dynamic = adv
-	if mi.deltas {
-		d = ctvg.RecordDeltas(adv, core.Theorem2Rounds(n))
-	}
-	met, err := sim.RunProtocol(d, mi.alg2(), assign, opts)
+	met, err := sim.RunProtocol(adv, mi.alg2(), assign, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Algorithm 2 on a (1, %d)-HiNet (n=%d θ=%d k=%d)\n", l, n, theta, k)
+	fmt.Printf("Algorithm 2 on a (1, %d)-HiNet (n=%d θ=%d k=%d)\n", sz.l, n, sz.theta, k)
 	fmt.Printf("theorem budget: n-1 = %d rounds\n", core.Theorem2Rounds(n))
 	fmt.Println("result:", met)
 	return nil

@@ -7,8 +7,11 @@ import (
 )
 
 func TestValidateFlags(t *testing.T) {
+	// defaults are hinetsim's flag defaults; sz edits a copy per row.
+	defaults := sizes{scenario: "hinet", n: 100, k: 8, theta: 30, alpha: 5, l: 2, reaffil: 3, churn: 10}
 	cases := []struct {
 		name     string
+		sz       func(*sizes)
 		drop     float64
 		arrival  float64
 		stall    int
@@ -29,10 +32,24 @@ func TestValidateFlags(t *testing.T) {
 		{name: "explicit zero stall window", stall: 0, stallSet: true, wantErr: "-stall-window"},
 		{name: "negative stall window", stall: -3, stallSet: true, wantErr: "-stall-window"},
 		{name: "negative stall window unset", stall: -3, stallSet: false, wantErr: "-stall-window"},
+		{name: "hinet zero nodes", sz: func(s *sizes) { s.n = 0 }, wantErr: "N=0"},
+		{name: "default theta exceeds n", sz: func(s *sizes) { s.n = 10 }, wantErr: "Theta=30"},
+		{name: "theta exceeds n", sz: func(s *sizes) { s.theta, s.n = 20, 10 }, wantErr: "Theta=20"},
+		{name: "n too small for theta heads", sz: func(s *sizes) { s.n, s.theta, s.l = 20, 12, 3 }, wantErr: "cannot host"},
+		{name: "k exceeds n", sz: func(s *sizes) { s.n, s.k, s.theta = 50, 100, 8 }, wantErr: "-k"},
+		{name: "k equals n", sz: func(s *sizes) { s.n, s.k, s.theta = 50, 50, 8 }, wantErr: ""},
+		{name: "zero alpha", sz: func(s *sizes) { s.alpha = 0 }, wantErr: "-alpha"},
+		{name: "onel theta exceeds n", sz: func(s *sizes) { s.scenario, s.n = "onel", 10 }, wantErr: "Theta=30"},
+		{name: "mobility k exceeds n", sz: func(s *sizes) { s.scenario, s.n = "mobility", 5 }, wantErr: "-k"},
+		{name: "fig3 ignores sizes", sz: func(s *sizes) { s.scenario, s.n = "fig3", 0 }, wantErr: ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.drop, tc.arrival, tc.stall, tc.stallSet)
+			sz := defaults
+			if tc.sz != nil {
+				tc.sz(&sz)
+			}
+			err := validateFlags(sz, tc.drop, tc.arrival, tc.stall, tc.stallSet)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -160,10 +160,14 @@ func record(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
+	cfg := adversary.HiNetConfig{
 		N: *n, Theta: *theta, L: *l, T: *t,
 		Reaffiliations: *reaffil, ChurnEdges: *churn,
-	}, xrand.New(*seed))
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	adv := adversary.NewHiNet(cfg, xrand.New(*seed))
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
@@ -196,6 +200,15 @@ func load(path string) (*ctvg.Trace, error) {
 	}
 	defer f.Close()
 	return trace.Read(f)
+}
+
+// spread places -k tokens on a loaded trace's n nodes, rejecting a -k the
+// trace cannot hold.
+func spread(n, k int, seed uint64) (*token.Assignment, error) {
+	if k > n {
+		return nil, fmt.Errorf("-k %d exceeds the trace's %d nodes", k, n)
+	}
+	return token.Spread(n, k, xrand.New(seed)), nil
 }
 
 func info(args []string) error {
@@ -246,7 +259,10 @@ func replay(args []string) error {
 	default:
 		return fmt.Errorf("unknown protocol %q", *proto)
 	}
-	assign := token.Spread(tr.N(), *k, xrand.New(*seed))
+	assign, err := spread(tr.N(), *k, *seed)
+	if err != nil {
+		return err
+	}
 	met := sim.MustRunProtocol(tr, p, assign, sim.Options{
 		MaxRounds: tr.Len(), StopWhenComplete: true,
 	})
@@ -271,6 +287,10 @@ func stats(args []string) (err error) {
 		return err
 	}
 	tr, err := load(*in)
+	if err != nil {
+		return err
+	}
+	assign, err := spread(tr.N(), *k, *seed)
 	if err != nil {
 		return err
 	}
@@ -327,7 +347,6 @@ func stats(args []string) (err error) {
 		pcfg.Sink = pf
 	}
 	tracer := provenance.New(pcfg)
-	assign := token.Spread(tr.N(), *k, xrand.New(*seed))
 	met := sim.MustRunProtocol(tr, p, assign, sim.Options{
 		MaxRounds:        tr.Len(),
 		StopWhenComplete: true,

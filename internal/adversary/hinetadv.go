@@ -38,7 +38,11 @@ type HiNetConfig struct {
 	ChurnEdges int
 }
 
-func (c HiNetConfig) validate() error {
+// Validate reports why NewHiNet would reject c: node, head and hop counts
+// out of range, a non-positive phase length, negative churn, or too few
+// nodes to host the heads and their L-1 gateway chains. CLIs call it to
+// turn bad sizes into errors before construction panics on them.
+func (c HiNetConfig) Validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("adversary: N=%d too small", c.N)
 	}
@@ -140,7 +144,7 @@ type HiNet struct {
 // NewHiNet builds the adversary; it panics on an infeasible configuration
 // (see HiNetConfig).
 func NewHiNet(cfg HiNetConfig, rng *xrand.Rand) *HiNet {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	headsPer := cfg.Heads

@@ -95,7 +95,6 @@ func (p Alg1) Nodes(assign *token.Assignment) []sim.Node {
 			ts:       bitset.New(assign.K),
 			tr:       bitset.New(assign.K),
 			lastHead: ctvg.NoCluster,
-			ver:      1,
 		}
 	}
 	return nodes
@@ -138,58 +137,17 @@ type alg1Node struct {
 
 	lastHead int
 
-	// The silence counters are int32 deliberately: together with the four
-	// flags and ver they pack the delta-delivery state into the space the
-	// pre-delta struct already occupied, keeping the 1000-node benchmark's
-	// per-run node footprint at the BENCH_PR2 size class.
 	sinceHead     int32
 	sinceAnyRelay int32
 	wasRelay      bool
 	started       bool
 	acting        bool
 	flooding      bool
-
-	// ver is the monotone content version of ta: bumped whenever ta gains
-	// an element, stamped onto full-TA payloads (floods). seen records, per
-	// sender, the highest stamp whose payload was absorbed; both survive
-	// OnRecover — ta does too, so the subset guarantee behind the delta
-	// skip keeps holding across an outage, and resetting ver would let one
-	// (sender, version) pair name two different sets. seen is allocated
-	// lazily on the first versioned delivery, so fault-free Algorithm 1
-	// runs (whose payloads are all single tokens) never pay for it.
-	ver  uint32
-	seen map[int]uint32
 }
 
-// absorb unions a payload into TA, keeping the content version stamp in
-// step. Every TA union must route through it.
-func (n *alg1Node) absorb(t *bitset.Set) {
-	if n.ta.UnionChanged(t) {
-		n.ver++
-	}
-}
-
-// skipDelta reports whether a versioned payload is provably a subset of TA
-// already: the sender's stamps are monotone in content, so once version V
-// from a sender is absorbed, anything it stamps <= V is contained in TA —
-// which never shrinks. On a fresh (sender, version) the stamp is recorded
-// and the caller unions. Skipping elides only the idempotent union; all
-// other bookkeeping a message drives must run before this check.
-func (n *alg1Node) skipDelta(v sim.View, m *sim.Message) bool {
-	if m.Version == 0 || !v.DeltaEnabled() {
-		return false
-	}
-	if n.seen == nil {
-		n.seen = make(map[int]uint32)
-	}
-	if n.seen[m.From] >= m.Version {
-		return true
-	}
-	n.seen[m.From] = m.Version
-	return false
-}
-
-// Send implements sim.Node.
+// Send implements sim.Node. The helpers it dispatches to take the View by
+// pointer: Send runs for every node in every round, and passing the
+// nine-word View by value would copy it again on every helper call.
 func (n *alg1Node) Send(v sim.View) *sim.Message {
 	relay := v.Role == ctvg.Head || v.Role == ctvg.Gateway
 
@@ -207,18 +165,18 @@ func (n *alg1Node) Send(v sim.View) *sim.Message {
 	n.started = true
 
 	if n.flooding {
-		return n.sendFlood(v)
+		return n.sendFlood(&v)
 	}
 	if relay {
-		return n.sendRelay(v)
+		return n.sendRelay(&v)
 	}
 	if v.Role == ctvg.Member {
 		if n.fo != nil {
-			if m, handled := n.memberFailover(v); handled {
+			if m, handled := n.memberFailover(&v); handled {
 				return m
 			}
 		}
-		return n.sendMember(v)
+		return n.sendMember(&v)
 	}
 	return nil // unaffiliated nodes are silent under Algorithm 1
 }
@@ -226,7 +184,7 @@ func (n *alg1Node) Send(v sim.View) *sim.Message {
 // memberFailover runs the resilient member's repair state machine before
 // the normal Fig. 4 member logic. It returns handled = true when the node
 // acted as a stand-in (or escalated) this round.
-func (n *alg1Node) memberFailover(v sim.View) (msg *sim.Message, handled bool) {
+func (n *alg1Node) memberFailover(v *sim.View) (msg *sim.Message, handled bool) {
 	if v.Head == ctvg.NoCluster {
 		return nil, false
 	}
@@ -270,7 +228,7 @@ func (n *alg1Node) memberFailover(v sim.View) (msg *sim.Message, handled bool) {
 // min-ID token not yet sent this phase; TS is emptied at each phase
 // boundary. In failover mode an idle relay broadcasts an empty heartbeat
 // (cost 0) so that silence always means failure.
-func (n *alg1Node) sendRelay(v sim.View) *sim.Message {
+func (n *alg1Node) sendRelay(v *sim.View) *sim.Message {
 	if v.Round%n.proto.T == 0 {
 		n.ts.Clear()
 	}
@@ -301,7 +259,7 @@ func (n *alg1Node) sendRelay(v sim.View) *sim.Message {
 // failover mode each phase boundary drops unacknowledged uploads from TS
 // (TS ∩= TR), so a token whose upload was lost is retransmitted instead of
 // being marked sent forever.
-func (n *alg1Node) sendMember(v sim.View) *sim.Message {
+func (n *alg1Node) sendMember(v *sim.View) *sim.Message {
 	if v.Head != n.lastHead {
 		n.ts.Clear()
 		n.tr.Clear()
@@ -337,14 +295,13 @@ func (n *alg1Node) sendMember(v sim.View) *sim.Message {
 
 // sendFlood broadcasts the full token set: the KLO-flooding degradation a
 // resilient node falls back to when the hierarchy around it has died.
-func (n *alg1Node) sendFlood(v sim.View) *sim.Message {
+func (n *alg1Node) sendFlood(v *sim.View) *sim.Message {
 	payload := v.NewSet()
 	payload.CopyFrom(n.ta)
 	m := v.NewMessage()
 	m.To = sim.NoAddr
 	m.Kind = sim.KindBroadcast
 	m.Tokens = payload
-	m.Version = n.ver
 	return m
 }
 
@@ -357,19 +314,19 @@ func (n *alg1Node) Deliver(v sim.View, msgs []*sim.Message) {
 		case relay && m.Kind == sim.KindRelay:
 			// Heads and gateways absorb every relay broadcast heard:
 			// this is the KLO pipelining over the head subgraph Υ.
-			n.absorb(m.Tokens)
+			n.ta.UnionWith(m.Tokens)
 		case relay && m.Kind == sim.KindUpload && m.To == n.id:
 			// A head accepts uploads addressed to it.
-			n.absorb(m.Tokens)
+			n.ta.UnionWith(m.Tokens)
 		case v.Role == ctvg.Member && m.Kind == sim.KindRelay && m.From == v.Head:
 			// A member receives tokens only from its own cluster head
 			// ("receive t' from its cluster head").
-			n.absorb(m.Tokens)
+			n.ta.UnionWith(m.Tokens)
 			n.tr.UnionWith(m.Tokens)
 		case v.Role == ctvg.Member && m.Kind == sim.KindRelay && (n.proto.Promiscuous || n.fo != nil):
 			// Ablation / failover: overhear foreign relays too (TA only —
 			// TR keeps tracking the own head so uploads stay correct).
-			n.absorb(m.Tokens)
+			n.ta.UnionWith(m.Tokens)
 		}
 		if n.fo == nil {
 			continue
@@ -383,18 +340,13 @@ func (n *alg1Node) Deliver(v sim.View, msgs []*sim.Message) {
 		case sim.KindBroadcast:
 			// A flood: absorb it, and join it — flooding is contagious, so
 			// one desperate region recruits everyone reachable from it.
-			// Floods carry full-TA version stamps, so a repeat of an
-			// already-absorbed (sender, version) skips the union — the
-			// contagion bookkeeping above it never skips.
 			heardFlood = true
-			if !n.skipDelta(v, m) {
-				n.absorb(m.Tokens)
-			}
+			n.ta.UnionWith(m.Tokens)
 		case sim.KindUpload:
 			// An acting head adopts uploads stranded on the dead head it
 			// stands in for.
 			if n.acting {
-				n.absorb(m.Tokens)
+				n.ta.UnionWith(m.Tokens)
 			}
 		}
 	}
@@ -421,14 +373,8 @@ func (n *alg1Node) Tokens() *bitset.Set { return n.ta }
 
 // Inject implements sim.Injector: the arrival lands in TA like an
 // originally assigned token — a member will upload it (it is in neither TS
-// nor TR), a relay will pipeline it — and the content stamp advances so
-// versioned floods of the grown set are never skipped.
-func (n *alg1Node) Inject(r, tok int) {
-	if !n.ta.Contains(tok) {
-		n.ta.Add(tok)
-		n.ver++
-	}
-}
+// nor TR) and a relay will pipeline it.
+func (n *alg1Node) Inject(r, tok int) { n.ta.Add(tok) }
 
 // Collect implements sim.Collectible: all three of the paper's sets are
 // purged. TS/TR must not keep bits for collected slots — a stale TS or TR

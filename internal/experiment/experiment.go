@@ -76,21 +76,6 @@ type PointConfig struct {
 	// totals are summed into the row's StageWallNs / StageCPUNs. The
 	// directory is created if missing.
 	TimingDir string
-	// NoCache disables the engine's stability-window cache
-	// (sim.Options.NoStabilityCache) in every replication — the A/B switch
-	// for verifying the cache changes timings only, never results.
-	NoCache bool
-	// NoDelta disables delta-aware delivery (sim.Options.NoDeltaDelivery)
-	// in every replication — the A/B switch for verifying the skip changes
-	// timings only, never results.
-	NoDelta bool
-	// UseDeltaTraces records every replication's dynamic into a
-	// ctvg.DeltaTrace (O(changes) storage, copy-on-write snapshots) before
-	// the run instead of letting the engine pull rounds from the live
-	// adversary. Results are identical either way — proven by the
-	// delta-trace equivalence suite — so this is the A/B switch keeping the
-	// snapshot path reachable as the conformance oracle. Off by default.
-	UseDeltaTraces bool
 	// Faults, when non-nil, injects the same fault plan into every
 	// replication of every row, with the plan's seed mixed with the
 	// replication seed so fault randomness varies across seeds like
@@ -207,9 +192,6 @@ type runSpec struct {
 	n          int
 	seeds      int
 	workers    int
-	noCache    bool
-	noDelta    bool
-	deltas     bool
 	faults     *sim.Faults
 	arrivals   *sim.Arrivals
 	selfstab   *sim.SelfStabilize
@@ -249,16 +231,8 @@ func runSeed(spec runSpec, i int) seedSample {
 	{
 		seed := uint64(i)*1_000_003 + 17
 		d, p := spec.build(seed)
-		if spec.deltas {
-			d = ctvg.RecordDeltas(d, spec.budget)
-		}
 		assign := token.Spread(spec.n, spec.k, xrand.New(seed^0xabcdef))
-		opts := sim.Options{
-			MaxRounds:        spec.budget,
-			SizeFn:           wire.Size,
-			NoStabilityCache: spec.noCache,
-			NoDeltaDelivery:  spec.noDelta,
-		}
+		opts := sim.Options{MaxRounds: spec.budget, SizeFn: wire.Size}
 		if spec.faults != nil {
 			// Per-replication copy so each seed draws its own fault
 			// randomness; the schedule fields are shared read-only.
@@ -597,7 +571,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 			adv := adversary.NewTInterval(n, T, cfg.ChurnEdges, xrand.New(seed))
 			return sim.NewFlat(adv), baseline.KLOT{T: T}
 		},
-		k: k, n: n, seeds: cfg.Seeds, workers: cfg.Workers, noCache: cfg.NoCache, noDelta: cfg.NoDelta, deltas: cfg.UseDeltaTraces, faults: cfg.Faults, arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize,
+		k: k, n: n, seeds: cfg.Seeds, workers: cfg.Workers, faults: cfg.Faults, arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize,
 		healthRules: rules, dumpDir: cfg.DumpDir, alpha: alpha, stop: cfg.Stop,
 	}, analytic: analysis.KLOTInterval(p)}
 
@@ -617,7 +591,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 			}, xrand.New(seed))
 			return adv, core.Alg1{T: T}
 		},
-		k: k, n: n, seeds: cfg.Seeds, workers: cfg.Workers, noCache: cfg.NoCache, noDelta: cfg.NoDelta, deltas: cfg.UseDeltaTraces, faults: cfg.Faults, arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize,
+		k: k, n: n, seeds: cfg.Seeds, workers: cfg.Workers, faults: cfg.Faults, arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize,
 		healthRules: rules, dumpDir: cfg.DumpDir, alpha: alpha, stop: cfg.Stop,
 	}, analytic: func() analysis.Cost { pp := p; pp.NR = cfg.NRT; return analysis.HiNetTInterval(pp) }()}
 
@@ -630,7 +604,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 			adv := adversary.NewOneInterval(n, 0, xrand.New(seed))
 			return sim.NewFlat(adv), baseline.Flood{}
 		},
-		k: k, n: n, seeds: cfg.Seeds, workers: cfg.Workers, noCache: cfg.NoCache, noDelta: cfg.NoDelta, deltas: cfg.UseDeltaTraces, faults: cfg.Faults, arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize,
+		k: k, n: n, seeds: cfg.Seeds, workers: cfg.Workers, faults: cfg.Faults, arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize,
 		healthRules: rules, dumpDir: cfg.DumpDir, alpha: alpha, stop: cfg.Stop,
 	}, analytic: analysis.KLOOneInterval(p)}
 
@@ -649,7 +623,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 			}, xrand.New(seed))
 			return adv, core.Alg2{}
 		},
-		k: k, n: n, seeds: cfg.Seeds, workers: cfg.Workers, noCache: cfg.NoCache, noDelta: cfg.NoDelta, deltas: cfg.UseDeltaTraces, faults: cfg.Faults, arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize,
+		k: k, n: n, seeds: cfg.Seeds, workers: cfg.Workers, faults: cfg.Faults, arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize,
 		healthRules: rules, dumpDir: cfg.DumpDir, alpha: alpha, stop: cfg.Stop,
 	}, analytic: func() analysis.Cost { pp := p; pp.NR = cfg.NR1; return analysis.HiNetOneInterval(pp) }()}
 
