@@ -34,6 +34,12 @@ func (sz sizes) hinetConfig() (cfg adversary.HiNetConfig, ok bool) {
 	return cfg, true
 }
 
+// minNodes is the smallest -n the generator behind each of these
+// scenarios can build: one node for the mobility, edge-Markovian and
+// 1-interval (coded) adversaries, and five for multihop, whose random
+// connected base graph carries 2n edges and so needs 2n <= n(n-1)/2.
+var minNodes = map[string]int{"mobility": 1, "emdg": 1, "coded": 1, "multihop": 5}
+
 // validateFlags rejects flag values that would otherwise reach the engine
 // as undefined behaviour or a panic: a NaN or negative -drop probability
 // (the injector's comparisons would silently never or always fire), a
@@ -41,7 +47,9 @@ func (sz sizes) hinetConfig() (cfg adversary.HiNetConfig, ok bool) {
 // sampler would spin or inject nothing while looking armed), a zero or
 // negative -stall-window given explicitly (0 only means "watchdog off" as
 // the untouched default; asking for it is a misconfiguration), more tokens
-// than nodes, and network sizes the hinet/onel adversary cannot build.
+// than nodes, a negative token count (or none for coded, whose decoder
+// needs a basis of at least one token), and network sizes the scenario's
+// generator cannot build.
 // stallSet reports whether -stall-window appeared on the command line.
 func validateFlags(sz sizes, drop, arrival float64, stallWindow int, stallSet bool) error {
 	if math.IsNaN(drop) || drop < 0 || drop > 1 {
@@ -60,6 +68,16 @@ func validateFlags(sz sizes, drop, arrival float64, stallWindow int, stallSet bo
 		if sz.alpha < 1 {
 			return fmt.Errorf("-alpha: progress coefficient must be positive (got %d)", sz.alpha)
 		}
+	case "coded":
+		if sz.k < 1 {
+			return fmt.Errorf("-k: the coded scenario needs at least 1 token (got %d)", sz.k)
+		}
+	}
+	if sz.k < 0 {
+		return fmt.Errorf("-k: token count must be non-negative (got %d)", sz.k)
+	}
+	if least, ok := minNodes[sz.scenario]; ok && sz.n < least {
+		return fmt.Errorf("-n: the %s scenario needs n >= %d (got %d)", sz.scenario, least, sz.n)
 	}
 	if cfg, ok := sz.hinetConfig(); ok {
 		if err := cfg.Validate(); err != nil {

@@ -42,6 +42,14 @@ func TestValidateFlags(t *testing.T) {
 		{name: "onel theta exceeds n", sz: func(s *sizes) { s.scenario, s.n = "onel", 10 }, wantErr: "Theta=30"},
 		{name: "mobility k exceeds n", sz: func(s *sizes) { s.scenario, s.n = "mobility", 5 }, wantErr: "-k"},
 		{name: "fig3 ignores sizes", sz: func(s *sizes) { s.scenario, s.n = "fig3", 0 }, wantErr: ""},
+		{name: "mobility zero nodes", sz: func(s *sizes) { s.scenario, s.n, s.k = "mobility", 0, 0 }, wantErr: "-n: the mobility scenario needs n >= 1"},
+		{name: "emdg zero nodes", sz: func(s *sizes) { s.scenario, s.n, s.k = "emdg", 0, 0 }, wantErr: "-n: the emdg scenario"},
+		{name: "coded zero nodes", sz: func(s *sizes) { s.scenario, s.n, s.k = "coded", 0, 0 }, wantErr: "-k: the coded scenario"},
+		{name: "coded zero nodes one token", sz: func(s *sizes) { s.scenario, s.n, s.k = "coded", 0, 1 }, wantErr: "-n: the coded scenario"},
+		{name: "multihop zero nodes", sz: func(s *sizes) { s.scenario, s.n, s.k = "multihop", 0, 0 }, wantErr: "-n: the multihop scenario"},
+		{name: "multihop four nodes", sz: func(s *sizes) { s.scenario, s.n, s.k = "multihop", 4, 1 }, wantErr: "needs n >= 5"},
+		{name: "multihop five nodes", sz: func(s *sizes) { s.scenario, s.n, s.k = "multihop", 5, 1 }, wantErr: ""},
+		{name: "negative k", sz: func(s *sizes) { s.scenario, s.k = "mobility", -1 }, wantErr: "-k: token count must be non-negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,9 +1,13 @@
 // Command hinettrace records, inspects and replays CTVG traces: frozen
 // dynamic-network runs that make experiments forensically reproducible.
 //
+// Traces are stored as one base state plus one change set per stability
+// window (internal/trace), so a file grows with the network's changes, not
+// with its round count.
+//
 // Usage:
 //
-//	hinettrace record -out net.ctvg [-n -theta -l -t -rounds -seed]
+//	hinettrace record -out net.ctvg [-n -theta -l -t -rounds -reaffil -churn -seed]
 //	hinettrace info   -in net.ctvg
 //	hinettrace replay -in net.ctvg [-proto alg1|alg2] [-k -seed]
 //	hinettrace probe  -in net.ctvg   # infer which (T, L)-HiNet the trace satisfies
@@ -156,7 +160,6 @@ func record(args []string) error {
 	reaffil := fs.Int("reaffil", 3, "re-affiliations per boundary")
 	churn := fs.Int("churn", 5, "churn edges per round")
 	seed := fs.Uint64("seed", 1, "seed")
-	full := fs.Bool("full", false, "use the uncompressed v1 format instead of delta encoding")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -172,12 +175,7 @@ func record(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec := ctvg.Record(adv, *rounds)
-	if *full {
-		err = trace.Write(f, rec)
-	} else {
-		err = trace.WriteDelta(f, rec)
-	}
+	err = trace.Write(f, ctvg.RecordDeltas(adv, *rounds))
 	if err == nil {
 		err = f.Sync()
 	}
@@ -193,7 +191,7 @@ func record(args []string) error {
 	return nil
 }
 
-func load(path string) (*ctvg.Trace, error) {
+func load(path string) (*ctvg.DeltaTrace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -144,49 +144,6 @@ func (s *Set) UnionWith(o *Set) {
 	}
 }
 
-// UnionChanged adds every element of o to s (s ∪= o) and reports whether s
-// gained any element, in the same word-level pass and without a separate
-// Len or Equal sweep.
-func (s *Set) UnionChanged(o *Set) bool {
-	if o == nil {
-		return false
-	}
-	if len(o.words) > len(s.words) {
-		s.grow(len(o.words)*wordBits - 1)
-	}
-	changed := false
-	for i, w := range o.words {
-		old := s.words[i]
-		nw := old | w
-		if nw != old {
-			s.words[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
-// UnionCount adds every element of o to s (s ∪= o) and returns how many
-// elements s gained (|o \ s| before the union). Like UnionChanged it costs
-// one word-level pass and allocates nothing beyond any required growth.
-func (s *Set) UnionCount(o *Set) int {
-	if o == nil {
-		return 0
-	}
-	if len(o.words) > len(s.words) {
-		s.grow(len(o.words)*wordBits - 1)
-	}
-	added := 0
-	for i, w := range o.words {
-		old := s.words[i]
-		if d := w &^ old; d != 0 {
-			s.words[i] = old | w
-			added += bits.OnesCount64(d)
-		}
-	}
-	return added
-}
-
 // IntersectWith removes from s every element not in o (s ∩= o).
 func (s *Set) IntersectWith(o *Set) {
 	if o == nil {

@@ -496,6 +496,20 @@ func TestGrowAfterShrinkZeroesStaleWords(t *testing.T) {
 	if s2.Contains(500) {
 		t.Fatalf("stale words resurfaced after SetWords: %v", s2)
 	}
+	// UnionWith regrows over the same spare capacity: after either shrink
+	// the union must see zeroes there, not the stale bits.
+	u := FromSlice([]int{5, 100, 180})
+	u.CopyFrom(FromSlice([]int{5}))
+	u.UnionWith(FromSlice([]int{100}))
+	if got := u.Elements(); len(got) != 2 || got[0] != 5 || got[1] != 100 {
+		t.Fatalf("UnionWith after CopyFrom shrink: got %v want [5 100]", got)
+	}
+	u2 := FromSlice([]int{5, 100, 180})
+	u2.SetWords([]uint64{1 << 5})
+	u2.UnionWith(FromSlice([]int{130}))
+	if got := u2.Elements(); len(got) != 2 || got[0] != 5 || got[1] != 130 {
+		t.Fatalf("UnionWith after SetWords shrink: got %v want [5 130]", got)
+	}
 }
 
 func TestMinMaxNotInUnion(t *testing.T) {
@@ -535,115 +549,6 @@ func TestQuickNotInUnionMatchesMaterialised(t *testing.T) {
 		u := Union(a, b)
 		return s.MinNotInUnion(a, b) == s.MinNotIn(u) &&
 			s.MaxNotInUnion(a, b) == s.MaxNotIn(u)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnionChanged(t *testing.T) {
-	s := FromSlice([]int{1, 63})
-	o := FromSlice([]int{63, 64, 127, 128})
-	if !s.UnionChanged(o) {
-		t.Fatal("union that adds elements must report changed")
-	}
-	for _, e := range []int{1, 63, 64, 127, 128} {
-		if !s.Contains(e) {
-			t.Fatalf("missing %d after union", e)
-		}
-	}
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d want 5", s.Len())
-	}
-	// Re-union of an absorbed set must report unchanged.
-	if s.UnionChanged(o) {
-		t.Fatal("idempotent re-union reported changed")
-	}
-	if s.UnionChanged(nil) {
-		t.Fatal("nil union reported changed")
-	}
-	if s.UnionChanged(&Set{}) {
-		t.Fatal("empty union reported changed")
-	}
-	// A subset of s must not report changed even when its word count differs.
-	if s.UnionChanged(FromSlice([]int{1})) {
-		t.Fatal("subset union reported changed")
-	}
-}
-
-func TestUnionCount(t *testing.T) {
-	s := FromSlice([]int{0, 64})
-	if got := s.UnionCount(FromSlice([]int{0, 63, 64, 65, 128})); got != 3 {
-		t.Fatalf("UnionCount = %d want 3", got)
-	}
-	if got := s.UnionCount(FromSlice([]int{63, 65, 128})); got != 0 {
-		t.Fatalf("repeat UnionCount = %d want 0", got)
-	}
-	if got := s.UnionCount(nil); got != 0 {
-		t.Fatalf("nil UnionCount = %d want 0", got)
-	}
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d want 5", s.Len())
-	}
-}
-
-// TestUnionChangedWordBoundaries exercises each side of every word seam the
-// delta path crosses: last bit of a word, first bit of the next.
-func TestUnionChangedWordBoundaries(t *testing.T) {
-	for _, e := range []int{0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 191, 192} {
-		s := New(0)
-		if !s.UnionChanged(FromSlice([]int{e})) {
-			t.Fatalf("element %d: first union not reported", e)
-		}
-		if !s.Contains(e) || s.Len() != 1 {
-			t.Fatalf("element %d: wrong content %v", e, s)
-		}
-		if s.UnionChanged(FromSlice([]int{e})) {
-			t.Fatalf("element %d: re-union reported changed", e)
-		}
-		if got := s.UnionCount(FromSlice([]int{e, e + 1})); got != 1 {
-			t.Fatalf("element %d: UnionCount = %d want 1", e, got)
-		}
-	}
-}
-
-// TestUnionChangedAfterShrink re-creates the PR 2 stale-word hazard: a set
-// shrunk by CopyFrom/SetWords regrows over storage whose spare words held
-// old bits. UnionChanged/UnionCount must observe zeroes there, not stale
-// garbage (which would both corrupt the union and mis-report the delta).
-func TestUnionChangedAfterShrink(t *testing.T) {
-	s := FromSlice([]int{5, 100, 180}) // three words in use
-	s.CopyFrom(FromSlice([]int{5}))    // shrink to one word; words 1,2 stale
-	if changed := s.UnionChanged(FromSlice([]int{100})); !changed {
-		t.Fatal("union into shrunk set not reported as change")
-	}
-	if !s.Contains(100) || s.Contains(180) || s.Len() != 2 {
-		t.Fatalf("stale words leaked: %v", s)
-	}
-
-	s2 := FromSlice([]int{5, 100, 180})
-	s2.SetWords([]uint64{1 << 5}) // shrink via the codec path
-	if got := s2.UnionCount(FromSlice([]int{100, 180})); got != 2 {
-		t.Fatalf("UnionCount after SetWords shrink = %d want 2", got)
-	}
-	if s2.Len() != 3 {
-		t.Fatalf("Len = %d want 3", s2.Len())
-	}
-}
-
-func TestQuickUnionChangedAndCountMatchUnionWith(t *testing.T) {
-	f := func(ra, rb []byte) bool {
-		a1, _ := mkSet(ra)
-		b, _ := mkSet(rb)
-		a2 := a1.Clone()
-		a3 := a1.Clone()
-		before := a1.Len()
-		a1.UnionWith(b)
-		changed := a2.UnionChanged(b)
-		count := a3.UnionCount(b)
-		return a1.Equal(a2) && a1.Equal(a3) &&
-			changed == (a1.Len() > before) &&
-			count == a1.Len()-before
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -78,8 +78,9 @@ func (h *Hierarchy) UnapplyDelta(d HierarchyDelta) *Hierarchy {
 }
 
 // DeltaSource is the optional interface through which a generating CTVG
-// Dynamic emits window transitions natively as deltas on both layers (see
-// tvg.DeltaSource for the flat half of the contract).
+// Dynamic emits window transitions natively as deltas on both layers, so
+// recording a delta trace never has to materialise two snapshots and diff
+// them.
 type DeltaSource interface {
 	Dynamic
 	// WindowDelta returns the graph and hierarchy deltas transforming the
@@ -95,11 +96,16 @@ type DeltaSource interface {
 // over which BOTH layers are constant, matching Trace's combined
 // StableUntil. Rounds beyond the recorded range repeat the final window.
 //
-// Like tvg.DeltaTrace, the materialising cursor makes this type stateful:
-// a DeltaTrace must not be shared by concurrent runs (the engine's own
+// At and HierarchyAt materialise the requested window on a cursor via
+// copy-on-write Apply/Unapply, so a transition costs O(n + |changes|)
+// regardless of |E|, and total memory stays O(E + total changes) —
+// independent of the round count. The cursor makes this type stateful: a
+// DeltaTrace must not be shared by concurrent runs (the engine's own
 // worker parallelism is fine — snapshots are fetched by the coordinating
-// goroutine only). Within one window, At and HierarchyAt return stable
-// pointers, which Record's dedup and the engine's stability cache rely on.
+// goroutine only); give each concurrent run its own DeltaTrace, or record
+// one Trace and share that. Within one window, At and HierarchyAt return
+// stable pointers, which Record's dedup and the engine's stability cache
+// rely on.
 type DeltaTrace struct {
 	n       int
 	length  int
@@ -168,6 +174,14 @@ func (t *DeltaTrace) Changes() (edges, roles int) {
 		roles += len(t.hdeltas[i])
 	}
 	return edges, roles
+}
+
+// Window returns the start round of window i and the graph and hierarchy
+// deltas entering it from window i-1 (0 <= i < Windows()). Window 0 starts
+// at round 0 with empty deltas; its state is At(0) and HierarchyAt(0). The
+// returned deltas are the trace's own storage and must not be modified.
+func (t *DeltaTrace) Window(i int) (start int, gd *graph.Delta, hd HierarchyDelta) {
+	return t.starts[i], t.gdeltas[i], t.hdeltas[i]
 }
 
 func (t *DeltaTrace) windowOf(r int) int {

@@ -169,3 +169,68 @@ func TestCTVGDeltaTraceHierarchyOnlyWindow(t *testing.T) {
 		t.Fatal("hierarchy windows wrong")
 	}
 }
+
+func TestDeltaTraceStorage(t *testing.T) {
+	// 50 windows with 2 re-affiliations between each: the delta trace must
+	// store a few changes per transition, not 50 snapshots. A window whose
+	// two re-affiliations cancel out merges into its predecessor, so the
+	// expected count comes from the snapshot trace's own windows.
+	tr := buildClusteredTrace(t, 50, 3, 3)
+	want := 0
+	for r := 0; r < tr.Len(); r = tr.StableUntil(r) + 1 {
+		want++
+		if tr.StableUntil(r) == math.MaxInt {
+			break
+		}
+	}
+	dt := RecordDeltas(tr, tr.Len())
+	if w := dt.Windows(); w != want || w < 40 {
+		t.Fatalf("windows = %d, want %d (>= 40)", w, want)
+	}
+	// A re-affiliation swaps one member edge and changes one node's cluster.
+	edges, roles := dt.Changes()
+	if max := (want - 1) * 2 * 2; edges > max {
+		t.Fatalf("stored %d edge changes, want <= %d", edges, max)
+	}
+	if max := (want - 1) * 2; roles > max {
+		t.Fatalf("stored %d role changes, want <= %d", roles, max)
+	}
+}
+
+func TestDeltaTraceMergesUnchangedWindows(t *testing.T) {
+	g := graph.FromEdgeList(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
+	h := NewHierarchy(4)
+	h.SetHead(1)
+	h.SetMember(0, 1)
+	h.SetMember(2, 1)
+	g2 := g.Clone()
+	g2.AddEdge(0, 3)
+	// Content-equal but pointer-distinct rounds must merge into one window,
+	// exactly as NewTrace's Equal-based index does.
+	tr := NewTrace(tvg.NewTrace([]*graph.Graph{g, g.Clone(), g.Clone(), g2, g2.Clone()}),
+		[]*Hierarchy{h, h.Clone(), h.Clone(), h.Clone(), h.Clone()})
+	dt := RecordDeltas(tr, tr.Len())
+	if w := dt.Windows(); w != 2 {
+		t.Fatalf("windows = %d, want 2", w)
+	}
+	if got := dt.StableUntil(0); got != 2 {
+		t.Fatalf("StableUntil(0) = %d, want 2", got)
+	}
+	if got := dt.StableUntil(3); got != math.MaxInt {
+		t.Fatalf("StableUntil(3) = %d, want MaxInt", got)
+	}
+}
+
+func TestDeltaTraceSingleWindow(t *testing.T) {
+	g := graph.FromEdgeList(3, []graph.Edge{{U: 0, V: 1}})
+	h := NewHierarchy(3)
+	h.SetHead(0)
+	h.SetMember(1, 0)
+	dt := RecordDeltas(NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*Hierarchy{h}), 7)
+	if dt.Windows() != 1 || dt.StableUntil(0) != math.MaxInt {
+		t.Fatalf("static dynamic: windows=%d stable=%d", dt.Windows(), dt.StableUntil(0))
+	}
+	if !dt.At(100).Equal(g) || !dt.HierarchyAt(100).Equal(h) {
+		t.Fatal("past-end round differs from the single window")
+	}
+}

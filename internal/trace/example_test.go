@@ -10,16 +10,14 @@ import (
 	"repro/internal/xrand"
 )
 
-// Example records a dynamic network, round-trips it through the compact
-// delta format, and replays it bit-identically.
+// Example records a dynamic network as window deltas, round-trips it
+// through the trace format, and replays it bit-identically.
 func Example() {
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
-		N: 20, Theta: 4, L: 2, T: 5, ChurnEdges: 2,
-	}, xrand.New(9))
-	original := ctvg.Record(adv, 15)
+	cfg := adversary.HiNetConfig{N: 20, Theta: 4, L: 2, T: 5, ChurnEdges: 2}
+	original := ctvg.Record(adversary.NewHiNet(cfg, xrand.New(9)), 15)
 
 	var buf bytes.Buffer
-	if err := trace.WriteDelta(&buf, original); err != nil {
+	if err := trace.Write(&buf, ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(9)), 15)); err != nil {
 		panic(err)
 	}
 	replayed, err := trace.Read(&buf)

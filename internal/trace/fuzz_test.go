@@ -10,66 +10,42 @@ import (
 )
 
 // FuzzRead drives the trace decoder with arbitrary bytes: it must never
-// panic, and any trace it does accept must be structurally sane and
-// re-encodable.
+// panic, and any trace it does accept must replay in both directions and
+// re-encode to a trace with the same state in every round (see walk).
 func FuzzRead(f *testing.F) {
-	// Seed corpus: a real encoded trace plus adversarial prefixes.
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
-		N: 8, Theta: 3, L: 2, T: 3, ChurnEdges: 1,
-	}, xrand.New(1))
-	var buf bytes.Buffer
-	if err := Write(&buf, ctvg.Record(adv, 4)); err != nil {
-		f.Fatal(err)
+	// Seed corpus: encoded traces covering every kind of window — member
+	// re-affiliations, head churn (which reshapes the backbone), per-round
+	// edge churn, a hierarchy-only window — plus truncated prefixes of one
+	// of them and adversarial headers.
+	hinet := func(cfg adversary.HiNetConfig, seed uint64, rounds int) []byte {
+		return encode(f, ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(seed)), rounds))
 	}
-	f.Add(buf.Bytes())
-	var dbuf bytes.Buffer
-	if err := WriteDelta(&dbuf, ctvg.Record(adv, 4)); err != nil {
-		f.Fatal(err)
+	reaffil := hinet(adversary.HiNetConfig{N: 12, Theta: 4, L: 2, T: 4, Reaffiliations: 2}, 7, 12)
+	for _, seed := range [][]byte{
+		reaffil,
+		hinet(adversary.HiNetConfig{N: 10, Theta: 4, Heads: 2, L: 2, T: 3, HeadChurn: 1}, 3, 9),
+		hinet(adversary.HiNetConfig{N: 8, Theta: 3, L: 2, T: 3, ChurnEdges: 1}, 1, 4),
+		hinet(adversary.HiNetConfig{N: 12, Theta: 4, L: 2, T: 4, Reaffiliations: 2, HeadChurn: 1, ChurnEdges: 3}, 7, 12),
+		func() []byte { tr := hierarchyOnly(f); return encode(f, ctvg.RecordDeltas(tr, tr.Len())) }(),
+		reaffil[:5],
+		reaffil[:len(reaffil)/2],
+		reaffil[:len(reaffil)-1],
+		[]byte("CTVG\x02"),
+		[]byte("CTVG\x03\x05\x01"),
+		{},
+		[]byte("XXXXXXXX"),
+	} {
+		f.Add(seed)
 	}
-	f.Add(dbuf.Bytes())
-	// A longer multi-phase trace with re-affiliations and edge churn — the
-	// kind `hinettrace stats` replays — in both formats, so the fuzzer
-	// starts from inputs that exercise delta chains across phase
-	// boundaries, not just a single short phase.
-	long := adversary.NewHiNet(adversary.HiNetConfig{
-		N: 12, Theta: 4, L: 2, T: 4,
-		Reaffiliations: 2, ChurnEdges: 3,
-	}, xrand.New(7))
-	rec := ctvg.Record(long, 12)
-	var lbuf, ldbuf bytes.Buffer
-	if err := Write(&lbuf, rec); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(lbuf.Bytes())
-	if err := WriteDelta(&ldbuf, rec); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ldbuf.Bytes())
-	f.Add([]byte("CTVG\x02"))
-	f.Add([]byte("CTVG\x01"))
-	f.Add([]byte("CTVG\x01\x05\x01"))
-	f.Add([]byte{})
-	f.Add([]byte("XXXXXXXX"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if tr.N() < 0 || tr.Len() < 1 {
-			t.Fatalf("accepted insane trace: n=%d rounds=%d", tr.N(), tr.Len())
+		if tr.N() < 0 || tr.Len() < 1 || tr.Windows() < 1 {
+			t.Fatalf("accepted insane trace: n=%d rounds=%d windows=%d", tr.N(), tr.Len(), tr.Windows())
 		}
-		// Anything accepted must round-trip.
-		var out bytes.Buffer
-		if err := Write(&out, tr); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		tr2, err := Read(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if tr2.N() != tr.N() || tr2.Len() != tr.Len() {
-			t.Fatal("round trip changed shape")
-		}
+		walk(t, tr)
 	})
 }
